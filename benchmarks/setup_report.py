@@ -19,7 +19,11 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
 * a short **vector-engine smoke** so the largest scale is exercised
   end-to-end: build + recognition + simulation.
 
-Results land in ``benchmarks/BENCH_setup.json``.  The new builder must
+Results land in ``benchmarks/BENCH_setup.json``, merged by scale: a
+run over a subset of scales replaces those rows and keeps the others.
+Every row records the ``git_sha`` and ``python`` it was measured with
+(the top level records the latest run's), and ``carried_over`` lists
+the rows the latest run did not re-measure.  The new builder must
 clear ``FLOOR`` (10x over the legacy builder) at the 10k scale --
 waived (with the reason recorded in the JSON) only on hosts with fewer
 than 2 CPUs, matching the switchsim report's convention.
@@ -36,6 +40,8 @@ import argparse
 import json
 import os
 import pathlib
+import platform
+import subprocess
 import sys
 import time
 
@@ -132,6 +138,23 @@ def make_smoke_plan(cs, steps: int) -> list[list[tuple[str, int]]]:
     return plan
 
 
+def git_sha() -> str:
+    """HEAD's commit, suffixed ``-dirty`` when tracked files differ from
+    it; ``"unknown"`` outside a git checkout."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return sha + ("-dirty" if dirty else "")
+
+
 def bench_scale(label: str, target: int, store_dir: pathlib.Path,
                 check_legacy: bool) -> dict:
     cs = chip_scale(target)
@@ -167,6 +190,9 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
         legacy = {"build_s": round(legacy_s, 4),
                   "speedup": round(speedup, 3),
                   "byte_identical": identical}
+        # A second full table set: drop it before the phases below add
+        # their own copies (at 10k the reload phase is the peak).
+        del old
 
     t0 = time.perf_counter()
     design = cache.recognized(flat)
@@ -183,7 +209,9 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     graph = build_timing_graph(design, ArcDelayCalculator(fast, slow),
                                arc_cache=ArcPriceCache())
     sta_graph_s = time.perf_counter() - t0
-    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({len(graph.arcs)} arcs)")
+    sta_arcs = len(graph.arcs)
+    del graph, fast, slow
+    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({sta_arcs} arcs)")
 
     # Warm paths: identity hit in the same cache, then a store reload
     # into a fresh cache (fresh flatten -> same fingerprint).
@@ -233,7 +261,7 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
         "sta_graph_s": round(sta_graph_s, 4),
-        "sta_arcs": len(graph.arcs),
+        "sta_arcs": sta_arcs,
         "warm": {
             "cache_hit_s": round(warm_hit_s, 6),
             "store_load_s": round(store_load_s, 4),
@@ -269,13 +297,24 @@ def main(argv=None) -> int:
                                       check_legacy=label in LEGACY_SCALES)
                    for label in labels}
 
+    provenance = {"git_sha": git_sha(),
+                  "python": platform.python_version()}
+    scales = {}
+    if OUT_JSON.exists():
+        scales = json.loads(OUT_JSON.read_text(encoding="utf-8")).get(
+            "scales", {})
+    for label, row in results.items():
+        scales[label] = {**row, **provenance}
+
     floor_binds = FLOOR_SCALE in labels
     floor_enforced = floor_binds and cpus >= FLOOR_MIN_CPUS
     floor_waived = floor_binds and not floor_enforced
     payload = {
         "cpu_count": cpus,
+        **provenance,
         "seed": SEED,
-        "scales": results,
+        "scales": scales,
+        "carried_over": sorted(set(scales) - set(results)),
         "build_speedup_floor": FLOOR,
         "floor_scale": FLOOR_SCALE,
         "floor_enforced": floor_enforced,

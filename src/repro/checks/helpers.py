@@ -14,14 +14,12 @@ def device_map(annotated: AnnotatedDesign) -> dict[str, Transistor]:
 
 def path_resistance(path: ConductionPath, annotated: AnnotatedDesign,
                     devices: dict[str, Transistor]) -> float:
-    """On-resistance of a fully conducting path at the context corner."""
-    tech = annotated.technology
-    vdd = tech.vdd_at(annotated.corner)
+    """On-resistance of a fully conducting path at the context corner,
+    summed in path order."""
+    r_on = annotated.on_resistance
     total = 0.0
     for name in path.devices:
-        t = devices[name]
-        model = tech.mosfet(t.polarity, annotated.corner)
-        total += model.on_resistance(vdd, t.w_um, t.effective_length(tech.l_min_um))
+        total += r_on(devices[name])
     return total
 
 

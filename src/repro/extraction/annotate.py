@@ -17,6 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.extraction.caps import NetParasitics, Parasitics
+from repro.netlist.devices import Transistor
 from repro.netlist.flatten import FlatNetlist
 from repro.process.corners import Corner
 from repro.process.technology import Technology
@@ -53,17 +54,45 @@ class NetLoad:
 
 @dataclass
 class AnnotatedDesign:
-    """A flat netlist plus per-net loads at one corner."""
+    """A flat netlist plus per-net loads at one corner.
+
+    It also owns the corner's device on-resistance table
+    (:meth:`on_resistance`), the one source of drive strength for the
+    timing verifier and the check battery.
+    """
 
     flat: FlatNetlist
     technology: Technology
     corner: Corner
     loads: dict[str, NetLoad] = field(default_factory=dict)
+    #: Switching resistance per device geometry at this corner, filled on
+    #: first use.  Keyed by ``(polarity, w_um, l_um, l_add_um)`` -- never
+    #: by device name -- so a device resized in place simply looks up its
+    #: new geometry and can never read a stale value.
+    _r_on: dict[tuple, float] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def load(self, net: str) -> NetLoad:
         if net not in self.loads:
             self.loads[net] = NetLoad(net=net, wire=NetParasitics(net=net))
         return self.loads[net]
+
+    def on_resistance(self, device: Transistor) -> float:
+        """``device``'s switching resistance at this corner (ohms).
+
+        Exactly ``MosfetModel.on_resistance`` at the corner's supply and
+        the device's effective length, evaluated once per distinct
+        geometry: identical devices share one bit-identical value.
+        """
+        key = (device.polarity, device.w_um, device.l_um, device.l_add_um)
+        r = self._r_on.get(key)
+        if r is None:
+            tech = self.technology
+            model = tech.mosfet(device.polarity, self.corner)
+            r = model.on_resistance(tech.vdd_at(self.corner), device.w_um,
+                                    device.effective_length(tech.l_min_um))
+            self._r_on[key] = r
+        return r
 
 
 def annotate(

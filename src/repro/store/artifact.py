@@ -10,9 +10,11 @@ verified checkpoints -- never a torn one.
 Write path (``put``):
 
 1. claim the key's lock file with ``O_CREAT | O_EXCL`` (see below);
-2. serialize the payload (pickle) and compute its SHA-256;
-3. write header + payload to a temporary file in the store's own
-   ``tmp/`` directory (same filesystem as the final home);
+2. stream the pickled payload into an anonymous spool file, computing
+   its SHA-256 and size on the way (the payload is never held in
+   memory as one serialized blob);
+3. write header + spooled payload to a temporary file in the store's
+   own ``tmp/`` directory (same filesystem as the final home);
 4. ``flush`` + ``fsync`` the file, then ``os.replace`` it into place
    (atomic on POSIX and NTFS), then best-effort ``fsync`` the directory.
 
@@ -56,6 +58,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -86,6 +89,28 @@ class StoreWriteError(StoreError):
     fault was ENOSPC the store has also entered degraded mode (see
     :attr:`ArtifactStore.degraded`).
     """
+
+
+class _DigestWriter:
+    """File-like ``write`` target that forwards to ``fh`` while keeping
+    the SHA-256 and byte count of everything written.
+
+    Pickle protocol 5 passes large contiguous buffers (numpy arrays) to
+    ``write`` as :class:`pickle.PickleBuffer`, which has no ``len()``;
+    the byte count therefore reads the buffer's ``nbytes``.
+    """
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        self.fh.write(data)
+        n = memoryview(data).nbytes
+        self.size += n
+        return n
 
 
 def _fsync_dir(path: Path) -> None:
@@ -345,30 +370,36 @@ class ArtifactStore:
 
     def _put_locked(self, key: str, payload, meta: dict | None,
                     path: Path) -> Path:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "format": STORE_FORMAT,
-            "key": key,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "size": len(blob),
-            "meta": dict(meta or {}),
-        }
-        head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-        fd, tmp_name = tempfile.mkstemp(prefix=f"{key[:8]}.",
-                                        suffix=".tmp", dir=self.tmp_dir)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(head)
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
+        # The header carries the payload's digest and size, so the
+        # pickle is streamed into an anonymous spool first, hashing on
+        # the way, instead of materializing it as one bytes object.
+        with tempfile.TemporaryFile(dir=self.tmp_dir) as spool:
+            sink = _DigestWriter(spool)
+            pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+            spool.seek(0)
+            header = {
+                "format": STORE_FORMAT,
+                "key": key,
+                "sha256": sink.sha256.hexdigest(),
+                "size": sink.size,
+                "meta": dict(meta or {}),
+            }
+            head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            fd, tmp_name = tempfile.mkstemp(prefix=f"{key[:8]}.",
+                                            suffix=".tmp", dir=self.tmp_dir)
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(head)
+                    shutil.copyfileobj(spool, fh)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
         _fsync_dir(path.parent)
         self.writes += 1
         return path

@@ -21,7 +21,12 @@ What the cache stores is the arc's *drive-resistance bounds*
 finished delay: the load half of the formula is recomputed per arc from
 the destination net's own parasitics, so bit-slices whose wire loads
 all differ (every wireload-model net is jittered by name) still share
-the expensive half.  Path resistances are summed in value order
+the drive half.  Device on-resistances themselves are already one
+lookup each in the corner's table
+(:meth:`~repro.extraction.annotate.AnnotatedDesign.on_resistance`), so a
+hit saves the walk over the arc's conduction paths -- one lookup per
+device per path, a sort and a sum per path -- not I-V model
+evaluations.  Path resistances are summed in value order
 (never name order), so equal keys produce bit-identical bounds -- a
 hit is float-for-float the same as fresh pricing, the same soundness
 argument as the classification memo of PR 1.  Geometry is compared by

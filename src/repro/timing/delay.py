@@ -49,6 +49,11 @@ class ArcDelayCalculator:
         and cap factors differ per corner).
     pessimism:
         The widening knobs.
+
+    Device drive comes from each corner's on-resistance table
+    (:meth:`~repro.extraction.annotate.AnnotatedDesign.on_resistance`),
+    so pricing a path is one lookup per device; the I-V model runs once
+    per distinct device geometry per corner, not once per path.
     """
 
     def __init__(
@@ -67,15 +72,9 @@ class ArcDelayCalculator:
     # -- path resistance -----------------------------------------------------
 
     def _path_resistance(self, path: ConductionPath, design: AnnotatedDesign) -> float:
-        tech = design.technology
-        vdd = tech.vdd_at(design.corner)
-        values = []
-        for name in path.devices:
-            device = self._device_fast[name]
-            model = tech.mosfet(device.polarity, design.corner)
-            values.append(model.on_resistance(
-                vdd, device.w_um, device.effective_length(tech.l_min_um)
-            ))
+        devices = self._device_fast
+        r_on = design.on_resistance
+        values = [r_on(devices[name]) for name in path.devices]
         # Summed in sorted order so the result depends only on the
         # multiset of device resistances, never on device *names* --
         # which is what lets topologically identical bit-slices share
@@ -103,7 +102,8 @@ class ArcDelayCalculator:
         at the FAST corner, max at the SLOW corner.  It is a pure
         function of the driver topology and device geometry, which
         makes it the cacheable unit shared by identical bit-slices
-        (:mod:`repro.timing.arccache`).
+        (:mod:`repro.timing.arccache`).  Per-device values are table
+        lookups; what a cache hit saves is the walk over every path.
         """
         if not paths_through_input:
             raise ValueError("arc needs at least one conduction path")

@@ -288,42 +288,42 @@ def _break_cycles(graph: TimingGraph) -> None:
     bidirectional pass arcs create cycles; STA breaks them and notes the
     breaks, mirroring the paper's observation that loop/false-path
     handling needs designer visibility.
+
+    A depth-first search from every net in name order; an arc into a
+    net still on the search path is a back-edge and is dropped.  The
+    search keeps an explicit stack of ``(net, remaining fan-out arcs)``
+    rather than recursing, so path depth is bounded by memory, not by
+    the interpreter's recursion limit.
     """
-    color: dict[str, int] = {}
+    color: dict[str, int] = {}  # absent: unvisited, 1: on path, 2: done
     kept: list[DelayArc] = []
     dropped = 0
 
-    order = sorted(graph.nets())
     adjacency: dict[str, list[DelayArc]] = {}
     for arc in graph.arcs:
         adjacency.setdefault(arc.src, []).append(arc)
 
-    on_stack: set[str] = set()
-
-    def dfs(net: str) -> None:
-        nonlocal dropped
-        color[net] = 1
-        on_stack.add(net)
-        for arc in adjacency.get(net, []):
-            if color.get(arc.dst, 0) == 0:
-                kept.append(arc)
-                dfs(arc.dst)
-            elif arc.dst in on_stack:
-                dropped += 1  # back-edge: break the loop here
+    for root in sorted(graph.nets()):
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(adjacency.get(root, ())))]
+        while stack:
+            net, arcs = stack[-1]
+            for arc in arcs:
+                state = color.get(arc.dst)
+                if state is None:
+                    kept.append(arc)
+                    color[arc.dst] = 1
+                    stack.append((arc.dst, iter(adjacency.get(arc.dst, ()))))
+                    break
+                if state == 1:
+                    dropped += 1  # back-edge: break the loop here
+                else:
+                    kept.append(arc)
             else:
-                kept.append(arc)
-        on_stack.discard(net)
-        color[net] = 2
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        for net in order:
-            if color.get(net, 0) == 0:
-                dfs(net)
-    finally:
-        sys.setrecursionlimit(old_limit)
+                stack.pop()
+                color[net] = 2
 
     if dropped:
         graph.notes.append(f"broke {dropped} feedback arc(s) for acyclic analysis")

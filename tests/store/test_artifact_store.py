@@ -1,7 +1,11 @@
 """Unit tests for the crash-safe artifact store."""
 
+import hashlib
+import json
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.store import ArtifactStore, CorruptArtifact, StoreMiss
@@ -139,4 +143,34 @@ def test_atomicity_no_partial_object_on_write_failure(tmp_path):
     with pytest.raises(Exception):
         store.put(KEY1, lambda: None)  # lambdas don't pickle
     assert not store.has(KEY1)
+    assert not list(store.tmp_dir.iterdir())
+
+
+def test_streamed_body_is_the_pickle_byte_for_byte(tmp_path):
+    """Payloads are pickled straight into a spool file; the body must be
+    exactly ``pickle.dumps`` at the highest protocol, including large
+    numpy buffers (which protocol 5 hands to ``write`` out of frame),
+    and the header must describe it."""
+    rng = np.random.default_rng(3)
+    payload = {
+        "rows": rng.integers(0, 1 << 30, size=600_000, dtype=np.int64),
+        "gates": rng.random(300_000),
+        "small": np.arange(7, dtype=np.int32),
+        "names": [f"net{i}" for i in range(5000)],
+        "nested": {"x": (4.5, "y"), "blob": bytes(range(256)) * 1024},
+    }
+    store = ArtifactStore(tmp_path / "store")
+    path = store.put(KEY1, payload, meta={"stage": "logic"})
+    raw = path.read_bytes()
+    newline = raw.index(b"\n")
+    header = json.loads(raw[:newline])
+    body = raw[newline + 1:]
+    assert body == pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    assert header["size"] == len(body)
+    assert header["sha256"] == hashlib.sha256(body).hexdigest()
+    assert header["meta"] == {"stage": "logic"}
+    got, _ = store.get(KEY1)
+    assert np.array_equal(got["rows"], payload["rows"])
+    assert np.array_equal(got["gates"], payload["gates"])
+    assert got["nested"] == payload["nested"]
     assert not list(store.tmp_dir.iterdir())
