@@ -4,8 +4,8 @@
 ``BENCH_perf.json`` -- three experiments, one per PR-1 optimisation:
 
 * ``recognition``  -- the width sweep from ``test_scaling.py``, timed
-  with the memo/path-cache disabled (the pre-optimisation baseline) and
-  again warm-memoized; asserts >= 3x at width 16.
+  with the memo disabled (the pre-optimisation baseline) and again
+  warm-memoized; asserts >= 3x at width 16.
 * ``switchsim``    -- the domino-adder precharge/evaluate workload;
   compares actual net solves against the naive (re-solve everything)
   count the engine tracks alongside; asserts >= 2x fewer.
@@ -52,7 +52,6 @@ from repro.extraction.rctree import uniform_ladder              # noqa: E402
 from repro.netlist.builder import CellBuilder                   # noqa: E402
 from repro.netlist.flatten import flatten                       # noqa: E402
 from repro.process.technology import strongarm_technology       # noqa: E402
-from repro.recognition import conduction                        # noqa: E402
 from repro.recognition.memo import ClassificationMemo           # noqa: E402
 from repro.recognition.recognizer import recognize              # noqa: E402
 from repro.switchsim.engine import SwitchSimulator              # noqa: E402
@@ -83,12 +82,10 @@ def bench_recognition() -> dict:
     for w in WIDTHS:
         flat = flats[w]
 
-        # Pre-optimisation baseline: no memo, no conduction-path cache.
-        conduction.PATH_CACHE_ENABLED = False
-        try:
-            base_s = _best(lambda: recognize(flat, memo=False))
-        finally:
-            conduction.PATH_CACHE_ENABLED = True
+        # Baseline: no memo, so every CCC is classified from its own
+        # sweeps.  (Recognition reads packed sweep rows, never the
+        # conduction-path cache, so there is no cache to switch off.)
+        base_s = _best(lambda: recognize(flat, memo=False))
 
         # Optimised: warm shared memo (steady-state of a sweep/session).
         memo = ClassificationMemo()

@@ -17,7 +17,13 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   round-trip** (persist by content fingerprint, reload into a fresh
   cache, byte-identity checked again);
 * a short **vector-engine smoke** so the largest scale is exercised
-  end-to-end: build + recognition + simulation.
+  end-to-end: build + recognition + simulation;
+* the process's **peak RSS** (``ru_maxrss``) after each phase -- cold
+  table build, legacy build, recognition, STA graph and store reload --
+  under ``peak_rss_mb``.  The peak is monotonic over the process, so a
+  phase's reading rising above the previous one's means that phase set
+  a new high; rows of a multi-scale run also carry the smaller scales'
+  peaks, which is one more reason to run the big scales alone.
 
 Results land in ``benchmarks/BENCH_setup.json``, merged by scale: a
 run over a subset of scales replaces those rows and keeps the others.
@@ -41,6 +47,7 @@ import json
 import os
 import pathlib
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -155,6 +162,13 @@ def git_sha() -> str:
     return sha + ("-dirty" if dirty else "")
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB (Linux
+    reports ``ru_maxrss`` in KiB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                 1)
+
+
 def bench_scale(label: str, target: int, store_dir: pathlib.Path,
                 check_legacy: bool) -> dict:
     cs = chip_scale(target)
@@ -171,6 +185,7 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     cold_total_s = time.perf_counter() - t0
     build_s = tables.build_wall_s  # pure build; cold_total adds
     enum_after = conduction.enumeration_counters()  # fp + store write
+    rss = {"tables": peak_rss_mb()}
     print(f"[{label}] cold build {build_s:.2f}s "
           f"({cold_total_s:.2f}s with fingerprint + store write; "
           f"rows={tables.row_net.size}, "
@@ -191,12 +206,14 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
                   "speedup": round(speedup, 3),
                   "byte_identical": identical}
         # A second full table set: drop it before the phases below add
-        # their own copies (at 10k the reload phase is the peak).
+        # their own copies.
         del old
+        rss["legacy_build"] = peak_rss_mb()
 
     t0 = time.perf_counter()
     design = cache.recognized(flat)
     recognition_s = time.perf_counter() - t0
+    rss["recognition"] = peak_rss_mb()
     print(f"[{label}] recognition {recognition_s:.2f}s "
           f"({len(design.classifications)} CCCs)")
 
@@ -209,6 +226,7 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     graph = build_timing_graph(design, ArcDelayCalculator(fast, slow),
                                arc_cache=ArcPriceCache())
     sta_graph_s = time.perf_counter() - t0
+    rss["sta_graph"] = peak_rss_mb()
     sta_arcs = len(graph.arcs)
     del graph, fast, slow
     print(f"[{label}] STA graph {sta_graph_s:.2f}s ({sta_arcs} arcs)")
@@ -227,8 +245,11 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     store_load_s = time.perf_counter() - t0
     store_identical = (loaded.loaded_from_store
                        and tables_identical(tables, loaded))
+    rss["store_reload"] = peak_rss_mb()
     print(f"[{label}] store reload {store_load_s:.2f}s, "
           f"{'byte-identical' if store_identical else 'DIVERGED'}")
+    print(f"[{label}] peak RSS MiB after each phase: "
+          + ", ".join(f"{k} {v}" for k, v in rss.items()))
 
     sim = SwitchSimulator(flat, engine="vector", tables=tables)
     plan = make_smoke_plan(cs, SMOKE_STEPS)
@@ -260,6 +281,7 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
         },
         "legacy": legacy,
         "recognition_s": round(recognition_s, 4),
+        "peak_rss_mb": rss,
         "sta_graph_s": round(sta_graph_s, 4),
         "sta_arcs": sta_arcs,
         "warm": {

@@ -51,15 +51,16 @@ def ccc_clock_seeds(ccc: ChannelConnectedComponent, gate_fn=None) -> set[str]:
     """Precharge + footer seeds contributed by one CCC.
 
     Purely topological, so :class:`~repro.recognition.memo.ClassificationMemo`
-    caches the result per topology signature.
+    caches the result per topology signature.  The evaluate-stack test
+    reads the precharged node's chains in the gnd sweep forest, keeps
+    the ``nmos_only`` ones and walks them as device slots.
     """
     from repro.netlist.nets import is_rail_name
-    from repro.recognition.conduction import conduction_paths
+    from repro.recognition.conduction import sweep_forest
 
     if gate_fn is None:
         gate_fn = recognize_static_gate
     seeds: set[str] = set()
-    nmos_names = {t.name for t in ccc.nmos()}
     checked: set[tuple[str, str]] = set()
     for p in ccc.pmos():
         terms = p.channel_terminals()
@@ -81,12 +82,15 @@ def ccc_clock_seeds(ccc: ChannelConnectedComponent, gate_fn=None) -> set[str]:
         # precharged node to gnd that passes through a G-gated footer
         # *and* carries at least one data condition.  A plain
         # inverter (path = {G} alone) or a tgate detour (mixed
-        # polarities) does not qualify.
-        for path in conduction_paths(ccc, x, "gnd"):
-            if set(path.devices) - nmos_names:
-                continue
-            conds = set(path.conditions)
-            if (g, True) in conds and conds - {(g, True)}:
+        # polarities) does not qualify.  Every condition of an
+        # all-NMOS path requires a 1, so that is: G plus another gate.
+        forest = sweep_forest(ccc, "gnd", x)
+        chains = forest.where(forest.nodes(x), forest.nmos_only)
+        dev_gate, gate_names = forest.dev_gate, forest.gate_names
+        for row in forest.rows(chains):
+            gates = {gate_names[dev_gate[d]] for d in row
+                     if dev_gate[d] >= 0}
+            if g in gates and len(gates) > 1:
                 seeds.add(g)
                 break
     return seeds

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support
+from repro.recognition.conduction import sweep_forest
 from repro.recognition.gates import RecognizedGate, recognize_static_gate
 
 
@@ -113,16 +113,22 @@ def classify_ccc(
         )
         return result
 
-    # Per-output structural analysis.
+    # Per-output structural analysis, read off the vdd/gnd sweep
+    # forests' packed rows: supports and device sets are unions over an
+    # output's chains, and the pure-clock pull-up paths are the chains
+    # whose gated devices are all clock-gated (a per-node flag computed
+    # once per CCC, on first need).
     outputs = sorted(ccc.output_nets) or sorted(ccc.channel_nets)
+    clocks = set(clock_nets)
+    pure_clock = None
     n_static = n_dynamic = n_cross = n_ratioed = 0
     for out in outputs:
-        up_paths = conduction_paths(ccc, out, "vdd")
-        down_paths = conduction_paths(ccc, out, "gnd")
-        if not up_paths or not down_paths:
+        up_f = sweep_forest(ccc, "vdd", out)
+        up_nodes = up_f.nodes(out)
+        down_f = sweep_forest(ccc, "gnd", out)
+        down_nodes = down_f.nodes(out)
+        if not len(up_nodes) or not len(down_nodes):
             continue
-        up_support = support(up_paths)
-        down_support = support(down_paths)
 
         gate = gate_fn(ccc, out)
         if gate is not None and gate.complementary:
@@ -130,18 +136,25 @@ def classify_ccc(
             n_static += 1
             continue
 
-        clocks = set(clock_nets)
-        pure_clock_up = [p for p in up_paths if p.gates() and p.gates() <= clocks]
-        if pure_clock_up:
+        up_support = up_f.support(out)
+        down_support = down_f.support(out)
+        if pure_clock is None:
+            gated = [gi >= 0 for gi in up_f.dev_gate]
+            clock_or_ungated = [gi < 0 or up_f.gate_names[gi] in clocks
+                                for gi in up_f.dev_gate]
+            pure_clock = up_f.chain_mask(clock_or_ungated, gated)
+        pure_clock_up = up_f.where(up_nodes, pure_clock)
+        if len(pure_clock_up):
             # Precharge pull-up exists: a dynamic node.  Pull-up devices
             # not on a pure-clock path are keeper candidates.
-            pre_devices = sorted({d for p in pure_clock_up for d in p.devices})
+            pre = up_f.devices(pure_clock_up)
+            names = up_f.dev_names
+            pre_devices = sorted(names[d] for d in pre)
             keeper_devices = sorted(
-                {d for p in up_paths for d in p.devices} - set(pre_devices)
-            )
-            data = down_support - clocks
+                names[d] for d in up_f.chain_devices(out) - pre)
+            data = set(down_support) - clocks
             foot = [t.name for t in ccc.nmos() if t.gate in clocks]
-            clock = sorted(support(pure_clock_up))[0]
+            clock = min(up_f.gate_support(pre))
             result.dynamic_nodes[out] = DynamicNode(
                 net=out,
                 precharge_devices=pre_devices,
@@ -153,7 +166,7 @@ def classify_ccc(
             n_dynamic += 1
             continue
 
-        sibling_gated = up_support - set(clock_nets) - down_support
+        sibling_gated = up_support - clocks - down_support
         if sibling_gated:
             # Pull-up gated by some other signal entirely: candidate
             # cross-coupled half (DCVSL / storage); the recognizer pairs
@@ -205,30 +218,41 @@ def _is_single_transmission_gate(ccc: ChannelConnectedComponent) -> bool:
 
 def find_cross_coupled_pairs(
     classified: list[CCCClassification],
-) -> list[tuple[CCCClassification, CCCClassification]]:
+    storage_nets: set[str] | frozenset[str] = frozenset(),
+) -> list[tuple[str, str]]:
     """Pair up CROSS_COUPLED_HALF CCCs that gate each other.
 
     A DCVSL gate or a cross-coupled storage element shows up as two CCCs,
-    each with a pull-up gated by an output of the other.
+    each with a pull-up gated by an output of the other.  Returns one
+    ``(out_a, out_b)`` output pair per matched couple, in classification
+    order; candidate partners are tried in sorted net order, so the
+    result does not depend on set iteration order.  A couple with an
+    output in ``storage_nets`` is storage the latch finder already
+    claimed: the half stops looking, and no pair is reported.
     """
     halves = [c for c in classified if c.family is CircuitFamily.CROSS_COUPLED_HALF]
     by_output: dict[str, CCCClassification] = {}
     for c in halves:
         for out in c.ccc.output_nets:
             by_output[out] = c
-    pairs: list[tuple[CCCClassification, CCCClassification]] = []
+    pairs: list[tuple[str, str]] = []
     seen: set[int] = set()
     for c in halves:
         if id(c) in seen:
             continue
-        for gating in c.cross_coupled_with:
+        for gating in sorted(c.cross_coupled_with):
             other = by_output.get(gating)
             if other is None or other is c or id(other) in seen:
                 continue
             # Does the other half point back at one of our outputs?
-            if other.cross_coupled_with & c.ccc.output_nets:
-                pairs.append((c, other))
-                seen.add(id(c))
-                seen.add(id(other))
-                break
+            if not (other.cross_coupled_with & c.ccc.output_nets):
+                continue
+            out_a = sorted(c.ccc.output_nets & other.cross_coupled_with)[0]
+            out_b = sorted(other.ccc.output_nets & c.cross_coupled_with)[0]
+            if out_a in storage_nets or out_b in storage_nets:
+                break  # a storage pair, already claimed by the latch finder
+            pairs.append((out_a, out_b))
+            seen.add(id(c))
+            seen.add(id(other))
+            break
     return pairs

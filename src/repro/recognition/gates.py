@@ -8,6 +8,12 @@ cell library's pre-declared meanings.
 
 The extracted function is stored as a truth-table bitmask over a sorted
 input list, the common currency shared with :mod:`repro.equivalence`.
+
+Recognition reads the packed sweep rows of
+:class:`~repro.recognition.conduction.SweepForest` and builds no
+:class:`~repro.recognition.conduction.ConductionPath`;
+:func:`drive_pull_paths` keeps the object form for the electrical
+checks.
 """
 
 from __future__ import annotations
@@ -15,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support, truth_table
+from repro.recognition.conduction import (
+    SweepForest,
+    conduction_paths,
+    cube_table,
+    sweep_forest,
+)
 
 
 @dataclass
@@ -91,7 +102,9 @@ def drive_pull_paths(
     Paths that detour through another output net of the CCC (a pass
     gate into a neighbouring storage node, a shared bus) are not part of
     this output's driving structure; they are excluded here and handled
-    by the pass/latch analyses instead.
+    by the pass/latch analyses instead.  Recognition reads the same
+    selection off the sweep forests' ``driving`` flag
+    (:class:`~repro.recognition.conduction.SweepForest`).
     """
     others = {n for n in ccc.output_nets if n != output}
     devices = {t.name: t for t in ccc.transistors}
@@ -112,6 +125,27 @@ def drive_pull_paths(
     return down, up
 
 
+def _row_cubes(forest: SweepForest, rows) -> set[tuple[int, int]]:
+    """Each chain's ``(must-be-1, must-be-0)`` gate masks, by gate id."""
+    dev_gate, dev_level = forest.dev_gate, forest.dev_level
+    cubes = set()
+    for row in rows:
+        ones = zeros = 0
+        for d in row:
+            gi = dev_gate[d]
+            if gi >= 0:
+                if dev_level[d]:
+                    ones |= 1 << gi
+                else:
+                    zeros |= 1 << gi
+        cubes.add((ones, zeros))
+    return cubes
+
+
+def _gate_ids(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
 def recognize_static_gate(
     ccc: ChannelConnectedComponent,
     output: str,
@@ -124,35 +158,58 @@ def recognize_static_gate(
     pull-networks share devices with other outputs).  Returns a
     :class:`RecognizedGate` with ``complementary=False`` for ratioed
     structures (pull-up exists but is not the complement).
-    """
-    nmos_names = {t.name for t in ccc.nmos()}
-    pmos_names = {t.name for t in ccc.pmos()}
 
+    Reads packed rows: the output's chains in the gnd and vdd sweep
+    forests are filtered by the per-node flags (``nmos_only`` resp.
+    ``pmos_only``, and ``driving``), only the survivors are walked, as
+    device slots, and each becomes one ``(must-be-1, must-be-0)`` cube
+    over the sorted inputs.  Support comes from the cubes' gate ids.
+    """
     # A complementary gate pulls down through NMOS only and up through
     # PMOS only, and only through its own driving structure -- paths
     # detouring through pass gates or other outputs that merged into
     # this CCC are dropped (the "loosely equivalent" reading of 4.1).
-    raw_down, raw_up = drive_pull_paths(ccc, output)
-    down_paths = [p for p in raw_down if not set(p.devices) - nmos_names]
-    up_paths = [p for p in raw_up if not set(p.devices) - pmos_names]
-    if not down_paths or not up_paths:
+    down_f = sweep_forest(ccc, "gnd", output)
+    down_nodes = down_f.nodes(output)
+    up_f = sweep_forest(ccc, "vdd", output)
+    up_nodes = up_f.nodes(output)
+    down = _row_cubes(down_f, down_f.rows(down_f.where(
+        down_nodes, down_f.nmos_only, down_f.driving)))
+    up = _row_cubes(up_f, up_f.rows(up_f.where(
+        up_nodes, up_f.pmos_only, up_f.driving)))
+    if not down or not up:
         return None
 
-    down_support = support(down_paths)
-    up_support = support(up_paths)
-    inputs = sorted(down_support | up_support)
+    down_ids = up_ids = 0
+    for ones, zeros in down:
+        down_ids |= ones | zeros
+    for ones, zeros in up:
+        up_ids |= ones | zeros
+    gate_names = down_f.gate_names
+    inputs = sorted(gate_names[i] for i in _gate_ids(down_ids | up_ids))
     if len(inputs) > max_inputs:
         return None
     if output in inputs:
         # Feedback onto own gate (keeper/latch) -- not a simple gate.
         return None
 
-    down_table = truth_table(down_paths, inputs)
-    up_table = truth_table(up_paths, inputs)
+    # Re-index the cubes from gate-id bits to sorted-input positions.
+    pos = {i: inputs.index(gate_names[i])
+           for i in _gate_ids(down_ids | up_ids)}
+
+    def table(cubes: set[tuple[int, int]]) -> int:
+        return cube_table(
+            ((sum(1 << pos[i] for i in _gate_ids(ones)),
+              sum(1 << pos[i] for i in _gate_ids(zeros)))
+             for ones, zeros in cubes),
+            len(inputs))
+
+    down_table = table(down)
+    up_table = table(up)
     size = 1 << len(inputs)
     full = (1 << size) - 1
 
-    complementary = (down_table ^ up_table) == full and down_support == up_support
+    complementary = (down_table ^ up_table) == full and down_ids == up_ids
     output_table = full & ~down_table  # output is high when not pulled down
     return RecognizedGate(
         output=output,

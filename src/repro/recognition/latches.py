@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.netlist.flatten import FlatNetlist
 from repro.recognition.ccc import ChannelConnectedComponent
-from repro.recognition.conduction import conduction_paths, support
+from repro.recognition.conduction import sweep_forest
 from repro.recognition.families import CCCClassification, CircuitFamily
 
 
@@ -67,7 +67,6 @@ class _OutputInfo:
     """Per-restoring-output structural facts used for pairing."""
 
     classification: CCCClassification
-    down_gates: list[frozenset[str]]  # gate support of each pull-down path
     up_support: set[str]
     down_support: set[str]
 
@@ -77,27 +76,27 @@ class _OutputInfo:
 
 def restoring_facts(
     ccc: ChannelConnectedComponent,
-) -> dict[str, tuple[list[frozenset[str]], set[str], set[str]]]:
-    """Per-output ``(down path gates, up support, down support)`` facts.
+) -> dict[str, tuple[set[str], set[str]]]:
+    """Per-output ``(up support, down support)`` facts.
 
     Only outputs with both pull-up and pull-down paths appear; a CCC not
-    touching both rails yields an empty dict.  Purely topological, so
+    touching both rails yields an empty dict.  The supports are unions
+    of gate nets over the output's chains in the vdd/gnd sweep forests,
+    shared with classification.  Purely topological, so
     :class:`~repro.recognition.memo.ClassificationMemo` caches it per
     topology signature.
     """
-    facts: dict[str, tuple[list[frozenset[str]], set[str], set[str]]] = {}
+    facts: dict[str, tuple[set[str], set[str]]] = {}
     if not (ccc.touches_rail("vdd") and ccc.touches_rail("gnd")):
         return facts
     for out in ccc.output_nets:
-        down = conduction_paths(ccc, out, "gnd")
-        up = conduction_paths(ccc, out, "vdd")
-        if not down or not up:
+        down_f = sweep_forest(ccc, "gnd", out)
+        down_nodes = down_f.nodes(out)
+        up_f = sweep_forest(ccc, "vdd", out)
+        up_nodes = up_f.nodes(out)
+        if not len(down_nodes) or not len(up_nodes):
             continue
-        facts[out] = (
-            [frozenset(p.gates()) for p in down],
-            support(up),
-            support(down),
-        )
+        facts[out] = (set(up_f.support(out)), set(down_f.support(out)))
     return facts
 
 
@@ -110,10 +109,9 @@ def _restoring_outputs(
         facts_fn = restoring_facts
     info: dict[str, _OutputInfo] = {}
     for c in classified:
-        for out, (down_gates, up_sup, down_sup) in facts_fn(c.ccc).items():
+        for out, (up_sup, down_sup) in facts_fn(c.ccc).items():
             info[out] = _OutputInfo(
                 classification=c,
-                down_gates=down_gates,
                 up_support=up_sup,
                 down_support=down_sup,
             )
@@ -130,7 +128,7 @@ def _inverter_coupled(info: _OutputInfo, sibling: str) -> bool:
     excluded because the dynamic node's pull-down is gated by data and
     clock, not by the output inverter.
     """
-    return any(sibling in gates for gates in info.down_gates)
+    return sibling in info.down_support
 
 
 def _strongly_connected(adj: dict[str, set[str]]) -> list[set[str]]:

@@ -117,9 +117,8 @@ class ClassificationMemo:
         self._classes: dict[tuple, _ClassTemplate] = {}
         self._gates: dict[tuple, _GateTemplate | None] = {}
         self._seeds: dict[tuple, tuple[int, ...]] = {}
-        # key -> None (CCC not touching both rails) or per-output facts
-        # in labels: (out, down path gate-label sets, up, down supports).
-        self._restoring: dict[tuple, tuple | None] = {}
+        # key -> per-output facts in labels: (out, up, down supports).
+        self._restoring: dict[tuple, tuple] = {}
         self.classify_hits = 0
         self.classify_misses = 0
         self.gate_hits = 0
@@ -183,7 +182,7 @@ class ClassificationMemo:
     # -- latch facts -----------------------------------------------------------
 
     def restoring(self, ccc: ChannelConnectedComponent,
-                  ) -> dict[str, tuple[list[frozenset[str]], set[str], set[str]]]:
+                  ) -> dict[str, tuple[set[str], set[str]]]:
         """Memoized :func:`~repro.recognition.latches.restoring_facts`."""
         sig = self.signature(ccc)
         tpl = self._restoring.get(sig.key)
@@ -191,20 +190,15 @@ class ClassificationMemo:
             fresh = restoring_facts(ccc)
             self._restoring[sig.key] = tuple(
                 (sig.labels[out],
-                 tuple(frozenset(sig.labels[g] for g in gates)
-                       for gates in down_gates),
                  frozenset(sig.labels[n] for n in up_sup),
                  frozenset(sig.labels[n] for n in down_sup))
-                for out, (down_gates, up_sup, down_sup) in fresh.items()
+                for out, (up_sup, down_sup) in fresh.items()
             )
             return fresh
         return {
-            sig.nets[out]: (
-                [frozenset(sig.nets[g] for g in gates) for gates in down],
-                {sig.nets[n] for n in up},
-                {sig.nets[n] for n in dn},
-            )
-            for out, down, up, dn in tpl
+            sig.nets[out]: ({sig.nets[n] for n in up},
+                            {sig.nets[n] for n in dn})
+            for out, up, dn in tpl
         }
 
     # -- classification --------------------------------------------------------

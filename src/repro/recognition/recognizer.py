@@ -21,6 +21,7 @@ from repro.recognition.families import (
     CircuitFamily,
     DynamicNode,
     classify_ccc,
+    find_cross_coupled_pairs,
 )
 from repro.recognition.gates import RecognizedGate
 from repro.recognition.latches import StorageNode, find_storage_nodes
@@ -179,30 +180,8 @@ def recognize(
             design.dynamic_nodes[out] = dyn
 
     # DCVSL pairs: mutually cross-coupled halves that are NOT storage.
-    halves = [c for c in classifications
-              if c.family is CircuitFamily.CROSS_COUPLED_HALF]
-    by_output: dict[str, CCCClassification] = {}
-    for c in halves:
-        for out in c.ccc.output_nets:
-            by_output[out] = c
-    seen: set[int] = set()
-    for c in halves:
-        if id(c) in seen:
-            continue
-        for gating in sorted(c.cross_coupled_with):
-            other = by_output.get(gating)
-            if other is None or other is c or id(other) in seen:
-                continue
-            if not (other.cross_coupled_with & c.ccc.output_nets):
-                continue
-            out_a = sorted(c.ccc.output_nets & other.cross_coupled_with)[0]
-            out_b = sorted(other.ccc.output_nets & c.cross_coupled_with)[0]
-            if out_a in storage_nets or out_b in storage_nets:
-                break  # a storage pair, already claimed by the latch finder
-            design.dcvsl_pairs.append((out_a, out_b))
-            seen.add(id(c))
-            seen.add(id(other))
-            break
+    design.dcvsl_pairs = find_cross_coupled_pairs(classifications,
+                                                  storage_nets)
 
     design.net_kinds = _assign_net_kinds(design)
     return design

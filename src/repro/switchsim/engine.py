@@ -181,8 +181,7 @@ class SwitchSimulator:
                 n for n in ccc.channel_nets
                 if self.flat.nets[n].is_port
             )
-            if (_conduction.PATH_CACHE_ENABLED
-                    and _conduction.SWEEP_ENABLED):
+            if _conduction.SWEEP_ENABLED:
                 # One target-rooted sweep per source fills the pair
                 # cache for every channel net at once; the per-net
                 # queries below then materialize from it instead of

@@ -54,8 +54,8 @@ from repro.netlist.flatten import FlatNetlist
 from repro.netlist.nets import is_rail_name
 from repro.recognition.ccc import ChannelConnectedComponent, extract_cccs
 from repro.recognition.conduction import (
-    _graph as switch_graph,
     conduction_paths,
+    path_rows,
     sweep_paths_to_target,
 )
 
@@ -529,11 +529,9 @@ class PackedSwitchTables:
 
         Runs one target-rooted sweep per source (vdd, gnd, each port)
         -- ~3 graph traversals per CCC instead of one per channel net
-        -- then extracts every (net, source) pair's paths from the
-        sweeps' parent-pointer forests with array ops.  Chains walk
-        from arrival to root, which *is* source-to-target device order
-        (module docs of :mod:`repro.recognition.conduction`), and a
-        lexsort on forward rank sequences restores the per-pair
+        -- then reads every (net, source) pair's paths from the
+        sweeps as :func:`~repro.recognition.conduction.path_rows`:
+        device-slot rows in source-to-target order and in per-pair
         enumeration order, so the packed segment is byte-identical to
         what :meth:`_enumerate_direct` appends for this CCC -- including
         ``path_g`` floats, accumulated in the same per-device sequence.
@@ -545,10 +543,11 @@ class PackedSwitchTables:
         tpl.n = n
         sources = ["vdd", "gnd"] + sorted(
             nm for nm in ccc.channel_nets if flat.nets[nm].is_port)
-        sweeps = {src: sweep_paths_to_target(ccc, src, max_paths)
-                  for src in sources}
-        g = switch_graph(ccc)
-        gid_of = g["net_ids"]
+        # Every sweep runs before the first pair is read, so an
+        # overflow raises in the (net, src) order of the per-pair
+        # enumeration rather than mid-sweep.
+        for src in sources:
+            sweep_paths_to_target(ccc, src, max_paths)
         n_dev = len(ccc.transistors)
         # Per-device condition/conductance tables in local id space.
         dev_cond_lid = np.full(n_dev, 0, np.int64)
@@ -571,53 +570,19 @@ class PackedSwitchTables:
         cl_chunks: list[np.ndarray] = []
         ci_chunks: list[np.ndarray] = []
         deps_of: list[set[int]] = []
-        par_all = dev_all = rnk_all = dpt_all = None
         for p, net in enumerate(sorted_nets):
             deps = {p}
             count = 0
-            net_gid = gid_of.get(net)
             for src in sources:
                 if src == net:
                     continue
-                ts = sweeps[src]
-                if net_gid is None:
+                # Packed rows, already in per-pair enumeration order;
+                # position k is the k-th device source-to-target.
+                D = path_rows(ccc, net, src, max_paths)
+                nb, m = D.shape
+                if not nb:
                     continue
-                if net_gid in ts["overflow"]:
-                    # Same raise, in the same (net, src) iteration
-                    # order, as the per-pair enumeration.
-                    raise RuntimeError(
-                        f"conduction path enumeration between {net!r} and "
-                        f"{src!r} exceeded {max_paths} paths"
-                    )
-                bucket = ts["buckets"].get(net_gid)
-                if bucket is None or not bucket.size:
-                    continue
-                par_all, dev_all = ts["par"], ts["dev"]
-                rnk_all, dpt_all = ts["rank"], ts["depth"]
-                nb = bucket.size
-                d = dpt_all[bucket].astype(np.int64)
-                m = int(d.max())
-                # Unroll each arrival's parent chain into (nb, m)
-                # device/rank matrices; position k is the k-th device
-                # in forward (source-to-target) order.
-                K = np.zeros((nb, m), np.int32)
-                D = np.zeros((nb, m), np.int32)
-                cur = bucket.astype(np.int64)
-                for k in range(m):
-                    act = d > k
-                    idxs = cur[act]
-                    K[act, k] = rnk_all[idxs]
-                    D[act, k] = dev_all[idxs]
-                    cur[act] = par_all[idxs]
-                # Restore per-pair enumeration order: lex order on the
-                # forward rank sequence (primary key passed last).  No
-                # key strictly prefixes another, so the zero padding of
-                # short chains never decides a comparison.
-                order = np.lexsort(tuple(K[:, j]
-                                         for j in range(m - 1, -1, -1)))
-                D = D[order]
-                d = d[order]
-                posmask = np.arange(m)[None, :] < d[:, None]
+                posmask = D >= 0
                 # Series conductance with the reference accumulation
                 # order: inv += 1/g device by device, ascending k.
                 inv = np.zeros(nb, np.float64)

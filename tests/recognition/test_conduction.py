@@ -8,9 +8,9 @@ from repro.recognition.ccc import extract_cccs
 from repro.recognition.conduction import (
     conduction_function,
     conduction_paths,
-    support,
-    truth_table,
+    cube_table,
 )
+from tests.oracles.recognition_paths import support, truth_table
 
 
 def nand2_ccc():
@@ -70,6 +70,8 @@ def test_truth_table_nand():
     inputs = sorted(support(down))
     # Conduction only at a=b=1 (minterm 3): bitmask 0b1000.
     assert truth_table(down, inputs) == 0b1000
+    # The same path as a cube: both inputs must be 1.
+    assert cube_table([(0b11, 0)], len(inputs)) == 0b1000
 
 
 def test_truth_table_input_cap():
@@ -77,6 +79,8 @@ def test_truth_table_input_cap():
     down = conduction_paths(ccc, "y", "gnd")
     with pytest.raises(ValueError):
         truth_table(down, [f"x{i}" for i in range(20)])
+    with pytest.raises(ValueError):
+        cube_table([(0b11, 0)], 20)
 
 
 def test_paths_do_not_cross_rails():

@@ -104,8 +104,9 @@ def test_dcvsl_halves_and_pairing():
     results = classify_all(b.build())
     halves = [c for c in results if c.family is CircuitFamily.CROSS_COUPLED_HALF]
     assert len(halves) == 2
-    pairs = find_cross_coupled_pairs(results)
-    assert len(pairs) == 1
+    assert find_cross_coupled_pairs(results) == [("t", "f")]
+    # A couple the latch finder already claimed as storage is no pair.
+    assert find_cross_coupled_pairs(results, storage_nets={"t"}) == []
 
 
 def test_mixed_dynamic_and_static_notes():
