@@ -12,7 +12,9 @@ chip-scale workload (:func:`repro.designs.chip_scale` at ~1k through
   produce **byte-identical** packed arrays -- any divergence fails the
   build regardless of speed;
 * **recognition** and **STA timing-graph construction** riding the same
-  warm CCC path caches the build populated;
+  warm CCC path caches the build populated, with ``sta_arcs_sha256``, a
+  digest of every arc's (src, dst, kind, d_min, d_max) -- floats as
+  ``float.hex()`` -- in graph order;
 * **warm-cache re-build** (identity hit) and an **ArtifactStore
   round-trip** (persist by content fingerprint, reload into a fresh
   cache, byte-identity checked again);
@@ -29,7 +31,10 @@ Results land in ``benchmarks/BENCH_setup.json``, merged by scale: a
 run over a subset of scales replaces those rows and keeps the others.
 Every row records the ``git_sha`` and ``python`` it was measured with
 (the top level records the latest run's), and ``carried_over`` lists
-the rows the latest run did not re-measure.  The new builder must
+the rows the latest run did not re-measure.  A re-measured row whose
+``sta_arcs_sha256`` differs from the committed row at the same scale
+fails the run: STA arcs are bit-identical across hosts and Python
+versions, so a new digest means the arcs changed.  The new builder must
 clear ``FLOOR`` (10x over the legacy builder) at the 10k scale --
 waived (with the reason recorded in the JSON) only on hosts with fewer
 than 2 CPUs, matching the switchsim report's convention.
@@ -43,6 +48,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -162,6 +168,17 @@ def git_sha() -> str:
     return sha + ("-dirty" if dirty else "")
 
 
+def sta_arcs_sha256(graph) -> str:
+    """SHA-256 over every arc's (src, dst, kind, d_min, d_max), one
+    tab-separated line per arc in graph order, floats as
+    ``float.hex()`` so the digest pins every bit."""
+    digest = hashlib.sha256()
+    for arc in graph.arcs:
+        digest.update(f"{arc.src}\t{arc.dst}\t{arc.kind}\t"
+                      f"{arc.d_min.hex()}\t{arc.d_max.hex()}\n".encode())
+    return digest.hexdigest()
+
+
 def peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MiB (Linux
     reports ``ru_maxrss`` in KiB)."""
@@ -228,8 +245,10 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
     sta_graph_s = time.perf_counter() - t0
     rss["sta_graph"] = peak_rss_mb()
     sta_arcs = len(graph.arcs)
+    sta_digest = sta_arcs_sha256(graph)
     del graph, fast, slow
-    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({sta_arcs} arcs)")
+    print(f"[{label}] STA graph {sta_graph_s:.2f}s ({sta_arcs} arcs, "
+          f"sha256 {sta_digest[:16]})")
 
     # Warm paths: identity hit in the same cache, then a store reload
     # into a fresh cache (fresh flatten -> same fingerprint).
@@ -284,6 +303,7 @@ def bench_scale(label: str, target: int, store_dir: pathlib.Path,
         "peak_rss_mb": rss,
         "sta_graph_s": round(sta_graph_s, 4),
         "sta_arcs": sta_arcs,
+        "sta_arcs_sha256": sta_digest,
         "warm": {
             "cache_hit_s": round(warm_hit_s, 6),
             "store_load_s": round(store_load_s, 4),
@@ -325,6 +345,11 @@ def main(argv=None) -> int:
     if OUT_JSON.exists():
         scales = json.loads(OUT_JSON.read_text(encoding="utf-8")).get(
             "scales", {})
+    arcs_changed = [
+        (label, scales[label]["sta_arcs_sha256"], r["sta_arcs_sha256"])
+        for label, r in results.items()
+        if scales.get(label, {}).get("sta_arcs_sha256") not in (
+            None, r["sta_arcs_sha256"])]
     for label, row in results.items():
         scales[label] = {**row, **provenance}
 
@@ -357,6 +382,11 @@ def main(argv=None) -> int:
     if diverged:
         print(f"\nFAIL: packed tables diverged at {diverged}",
               file=sys.stderr)
+        return 1
+    for label, committed, measured in arcs_changed:
+        print(f"\nFAIL: STA arcs at {label} changed: sha256 {measured} "
+              f"!= committed {committed}", file=sys.stderr)
+    if arcs_changed:
         return 1
     if floor_enforced:
         speedup = results[FLOOR_SCALE]["legacy"]["speedup"]

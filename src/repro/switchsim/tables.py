@@ -578,7 +578,7 @@ class PackedSwitchTables:
                     continue
                 # Packed rows, already in per-pair enumeration order;
                 # position k is the k-th device source-to-target.
-                D = path_rows(ccc, net, src, max_paths)
+                D = path_rows(ccc, net, src, max_paths, keep=False)
                 nb, m = D.shape
                 if not nb:
                     continue

@@ -16,23 +16,27 @@ signatures of :mod:`repro.recognition.signature`:
 * the **environment** pins the technology object the device models come
   from.
 
-What the cache stores is the arc's *drive-resistance bounds*
-(:meth:`~repro.timing.delay.ArcDelayCalculator.drive_bounds`), not the
-finished delay: the load half of the formula is recomputed per arc from
-the destination net's own parasitics, so bit-slices whose wire loads
-all differ (every wireload-model net is jittered by name) still share
-the drive half.  Device on-resistances themselves are already one
-lookup each in the corner's table
-(:meth:`~repro.extraction.annotate.AnnotatedDesign.on_resistance`), so a
-hit saves the walk over the arc's conduction paths -- one lookup per
-device per path, a sort and a sum per path -- not I-V model
-evaluations.  Path resistances are summed in value order
-(never name order), so equal keys produce bit-identical bounds -- a
-hit is float-for-float the same as fresh pricing, the same soundness
-argument as the classification memo of PR 1.  Geometry is compared by
-value, so the cache survives sizing iterations and spans designs on one
-technology; stale hits are impossible because every input
-``drive_bounds`` reads is in the key.
+What the cache stores is the arc's *drive-resistance bounds* -- the
+min (FAST) and max (SLOW) series resistance over the arc's conduction
+paths -- not the finished delay: the load half of the formula is
+recomputed per arc from the destination net's own parasitics, so
+bit-slices whose wire loads all differ (every wireload-model net is
+jittered by name) still share the drive half.  Path resistances are
+summed in value order (never name order), so equal keys produce
+bit-identical bounds -- a hit is float-for-float the same as fresh
+pricing, the same soundness argument as the classification memo
+(:mod:`repro.recognition.memo`).  Geometry is compared by value, so the
+cache survives sizing iterations and spans designs on one technology;
+stale hits are impossible because every input of the bounds is in the
+key.
+
+What a hit saves is now small.
+:func:`~repro.timing.graph.build_timing_graph` prices every path row of
+the design in one batched gather, sort and sum, and reduces the rows to
+every arc's bounds in one pass, before the first arc is emitted; a hit
+replaces those already-computed bounds with the stored, equal pair.
+The cache stays because its counters are canonical stage metrics and
+its hit ratio measures how much of a design is stamped copies.
 """
 
 from __future__ import annotations

@@ -15,11 +15,13 @@ honest without full slew propagation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.extraction.annotate import AnnotatedDesign
 from repro.process.corners import Corner
-from repro.recognition.conduction import ConductionPath
 from repro.timing.pessimism import PessimismSettings
 
 
@@ -39,6 +41,27 @@ class ArcDelay:
 SLEW_FRACTION = 0.5
 
 
+def series_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums of ``values`` (one path's device resistances per row),
+    each added in ascending value order, left to right.
+
+    Sorting first makes a path's resistance depend only on the multiset
+    of its device values, never on device names or order -- which is
+    what lets topologically identical bit-slices share one
+    bit-identical resistance through the arc-price cache.  The columns
+    are added one by one rather than with ``np.sum``, whose pairwise
+    summation rounds differently, and the result does not depend on the
+    Python version (``sum()`` over floats compensates from 3.12 on).
+    Zero padding sorts first and adds nothing.  Sorts ``values`` in
+    place.
+    """
+    values.sort(axis=1)
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total
+
+
 class ArcDelayCalculator:
     """Computes bounded delays for conduction-path-driven transitions.
 
@@ -51,9 +74,10 @@ class ArcDelayCalculator:
         The widening knobs.
 
     Device drive comes from each corner's on-resistance table
-    (:meth:`~repro.extraction.annotate.AnnotatedDesign.on_resistance`),
-    so pricing a path is one lookup per device; the I-V model runs once
-    per distinct device geometry per corner, not once per path.
+    (:meth:`~repro.extraction.annotate.AnnotatedDesign.on_resistance`):
+    :meth:`path_resistances` looks each device up once per corner and
+    gathers the values into every packed path, and the I-V model runs
+    once per distinct device geometry per corner.
     """
 
     def __init__(
@@ -71,15 +95,25 @@ class ArcDelayCalculator:
 
     # -- path resistance -----------------------------------------------------
 
-    def _path_resistance(self, path: ConductionPath, design: AnnotatedDesign) -> float:
-        devices = self._device_fast
-        r_on = design.on_resistance
-        values = [r_on(devices[name]) for name in path.devices]
-        # Summed in sorted order so the result depends only on the
-        # multiset of device resistances, never on device *names* --
-        # which is what lets topologically identical bit-slices share
-        # one bit-identical resistance via the arc-price cache.
-        return sum(sorted(values))
+    def path_resistances(
+        self, devices: Sequence[str], rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Series on-resistance of every packed path, at FAST and SLOW.
+
+        ``rows`` is an ``(n_paths, depth)`` matrix of indices into
+        ``devices`` (names), ``-1``-padded past each path's end.  Each
+        corner's per-device values are gathered through one vector that
+        ends in ``0.0``, so the padding reads zero, and summed by
+        :func:`series_sum`.
+        """
+        by_name = self._device_fast
+        sums = []
+        for design in (self.fast, self.slow):
+            r_on = design.on_resistance
+            table = np.array([r_on(by_name[name]) for name in devices]
+                             + [0.0])
+            sums.append(series_sum(table[rows]))
+        return sums[0], sums[1]
 
     def _load(self, net: str, design: AnnotatedDesign, maximal: bool) -> float:
         load = design.load(net)
@@ -93,31 +127,16 @@ class ArcDelayCalculator:
 
     # -- public delay queries ------------------------------------------------------
 
-    def drive_bounds(
-        self, paths_through_input: list[ConductionPath]
-    ) -> tuple[float, float]:
-        """(min, max) driver resistance over the given conduction paths.
-
-        The load-independent half of :meth:`arc_delay`: min resistance
-        at the FAST corner, max at the SLOW corner.  It is a pure
-        function of the driver topology and device geometry, which
-        makes it the cacheable unit shared by identical bit-slices
-        (:mod:`repro.timing.arccache`).  Per-device values are table
-        lookups; what a cache hit saves is the walk over every path.
-        """
-        if not paths_through_input:
-            raise ValueError("arc needs at least one conduction path")
-        r_min = min(self._path_resistance(path, self.fast)
-                    for path in paths_through_input)
-        r_max = max(self._path_resistance(path, self.slow)
-                    for path in paths_through_input)
-        return r_min, r_max
-
     def delay_from_drive(
         self, r_min: float, r_max: float, output_net: str
     ) -> ArcDelay:
-        """Apply ``output_net``'s load to precomputed drive bounds --
-        the per-arc half of :meth:`arc_delay`."""
+        """Bounded delay of a transition driven onto ``output_net``
+        through paths whose resistance ranges over ``[r_min, r_max]``.
+
+        Max delay: the *most resistive* path at the SLOW corner into the
+        maximal load.  Min delay: the *least resistive* path at the FAST
+        corner into the minimal load.
+        """
         p = self.pessimism
 
         r_hi = r_max + self._wire_resistance(output_net, self.slow, maximal=True)
@@ -132,32 +151,12 @@ class ArcDelayCalculator:
             d_min = d_max
         return ArcDelay(d_min=d_min, d_max=d_max)
 
-    def arc_delay(
-        self,
-        paths_through_input: list[ConductionPath],
-        output_net: str,
-    ) -> ArcDelay:
-        """Bounded delay for a transition driven through any of the
-        given conduction paths onto ``output_net``.
-
-        Max delay: the *most resistive* path at the SLOW corner into the
-        maximal load.  Min delay: the *least resistive* path at the FAST
-        corner into the minimal load.
-        """
-        r_min, r_max = self.drive_bounds(paths_through_input)
-        return self.delay_from_drive(r_min, r_max, output_net)
-
-    def nominal_delay(self, paths: list[ConductionPath], output_net: str) -> float:
-        """A single point estimate (geometric middle of the bounds)."""
-        arc = self.arc_delay(paths, output_net)
-        return (arc.d_min * arc.d_max) ** 0.5 if arc.d_min > 0 else arc.d_max / 2
-
     # -- arc-price cache keys ------------------------------------------------
 
     def environment_key(self) -> tuple:
         """The environment component of an arc-price key.
 
-        :meth:`drive_bounds` reads only the device models, which are
+        Drive bounds read only the device models, which are
         functions of the technology object and the (fixed FAST/SLOW)
         corner enums, so pinning the technology by identity fixes every
         non-geometry input of the resistance computation.  Load and

@@ -242,6 +242,29 @@ def test_rows_restore_per_pair_order(bfs_min):
         assert [p.devices for p in conduction_paths(ccc, "u", "gnd")] == want
 
 
+def test_path_rows_cached_read_only(monkeypatch):
+    """A pair is unrolled once: a second call -- and the paths
+    ``conduction_paths`` builds -- read the cached, unwritable matrix."""
+    b = CellBuilder("stack", ports=["y", "a", "b"])
+    b.nmos("a", "y", "m", w=1.0, name="d1")
+    b.nmos("b", "m", "gnd", w=1.0, name="d2")
+    b.nmos("b", "y", "gnd", w=1.0, name="d3")
+    ccc = extract_cccs(flatten(b.build()))[0]
+    unrolls = []
+    unroll = conduction._unroll
+    monkeypatch.setattr(conduction, "_unroll",
+                        lambda *args, **kw: unrolls.append(1) or unroll(*args, **kw))
+    rows = path_rows(ccc, "y", "gnd")
+    assert rows.shape[0] == 2 and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    assert path_rows(ccc, "y", "gnd") is rows
+    assert [p.devices for p in conduction_paths(ccc, "y", "gnd")] == [
+        tuple(ccc.transistors[d].name for d in row if d >= 0)
+        for row in rows.tolist()]
+    assert len(unrolls) == 1
+
+
 def test_path_rows_rejects_loop_pairs():
     ccc = extract_cccs(flatten(chip_scale(1000).cell))[0]
     net = sorted(ccc.channel_nets)[0]

@@ -5,7 +5,9 @@ geometry.  It must return, bit for bit, what evaluating the model per
 call returned -- for any polarity, corner, width and length -- follow
 in-place resizes, and leave every priced timing arc and every check
 path resistance float-identical to the per-call pricing it replaced,
-which is kept here as the oracle.
+which is kept here as the oracle: a subclass of the object-path STA
+oracle (``tests/oracles/sta_paths.py``) that evaluates the model once
+per device per path.
 """
 
 import hypothesis.strategies as st
@@ -26,6 +28,7 @@ from repro.recognition.recognizer import recognize
 from repro.timing.arccache import ArcPriceCache
 from repro.timing.delay import ArcDelayCalculator
 from repro.timing.graph import build_timing_graph
+from tests.oracles import sta_paths as oracle
 
 TECH = strongarm_technology()
 
@@ -37,14 +40,14 @@ def scalar_on_resistance(device, tech, corner) -> float:
                                device.effective_length(tech.l_min_um))
 
 
-class ScalarCalculator(ArcDelayCalculator):
+class ScalarCalculator(oracle.ObjectPathCalculator):
     """Arc pricing with one model evaluation per device per path."""
 
     def _path_resistance(self, path, design):
         values = [scalar_on_resistance(self._device_fast[name],
                                        design.technology, design.corner)
                   for name in path.devices]
-        return sum(sorted(values))
+        return oracle.left_to_right(sorted(values))
 
 
 def scalar_path_resistance(path, annotated, devices) -> float:
@@ -149,7 +152,7 @@ def test_chip_scale_arcs_identical_to_scalar_pricing(chip, cached,
     assert 0 < len(model_calls) <= 2 * len(geometries)
     assert len(set(model_calls)) == len(model_calls)
     fast2, slow2 = _annotated(chip)
-    scalar = build_timing_graph(
+    scalar = oracle.build_timing_graph(
         design, ScalarCalculator(fast2, slow2),
         arc_cache=ArcPriceCache() if cached else None)
     assert len(table.arcs) > 100
