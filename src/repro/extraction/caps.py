@@ -13,6 +13,17 @@ CAP_TOLERANCE = 0.20
 RES_TOLERANCE = 0.25
 
 
+def _left_to_right(values) -> float:
+    """``values`` added in order, one rounding per addition: what
+    ``sum()`` returns up to Python 3.11.  From 3.12 on ``sum()``
+    compensates float additions, which would make every load -- and
+    every timing arc priced from it -- depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class Bound:
     """A (min, nominal, max) bounded quantity."""
@@ -99,14 +110,17 @@ class NetParasitics:
 
     def cap_min(self, miller_min: float = 0.0) -> float:
         """Fastest-case total wire cap (same-direction aggressors)."""
-        return self.cap_ground.lo + sum(c.effective_min(miller_min) for c in self.couplings)
+        return self.cap_ground.lo + _left_to_right(
+            c.effective_min(miller_min) for c in self.couplings)
 
     def cap_max(self, miller_max: float = 2.0) -> float:
         """Slowest-case total wire cap (opposing aggressors)."""
-        return self.cap_ground.hi + sum(c.effective_max(miller_max) for c in self.couplings)
+        return self.cap_ground.hi + _left_to_right(
+            c.effective_max(miller_max) for c in self.couplings)
 
     def cap_nominal(self) -> float:
-        return self.cap_ground.nominal + sum(c.cap.nominal for c in self.couplings)
+        return self.cap_ground.nominal + _left_to_right(
+            c.cap.nominal for c in self.couplings)
 
 
 @dataclass

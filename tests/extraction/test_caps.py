@@ -1,5 +1,7 @@
 """Unit tests for repro.extraction.caps."""
 
+import math
+
 import pytest
 
 from repro.extraction.caps import Bound, Coupling, NetParasitics, Parasitics
@@ -59,3 +61,16 @@ def test_coupling_ratio():
     par.add_coupling("v", "a", Bound.from_tolerance(25e-15, 0.0))
     assert par.coupling_ratio("v") == pytest.approx(0.25)
     assert par.coupling_ratio("unknown") == 0.0
+
+
+def test_coupling_caps_add_left_to_right():
+    """Coupling caps of 0.1, 0.2 and 0.3 add to 0.6000000000000001 left
+    to right but to 0.6 under compensated summation (``math.fsum``, and
+    ``sum()`` from Python 3.12 on); the wire cap takes the left-to-right
+    value on every Python version, so loads and timing arcs do too."""
+    p = NetParasitics(net="n", couplings=[
+        Coupling(other_net=f"a{i}", cap=Bound(v, v, v))
+        for i, v in enumerate((0.1, 0.2, 0.3))])
+    assert math.fsum((0.1, 0.2, 0.3)) == 0.6
+    assert p.cap_nominal() == 0.6000000000000001
+    assert p.cap_min(1.0) == p.cap_max(1.0) == 0.6000000000000001
